@@ -130,6 +130,16 @@ class FieldKey:
         return f"field({self.name!r})"
 
 
+def identity(record: Any) -> Any:
+    """Default key function: the record is its own key.
+
+    The batch helpers recognize this exact object (never a look-alike
+    by name), so a caller's own ``identity`` that transforms records is
+    applied record by record like any other key.
+    """
+    return record
+
+
 def field(name: str) -> FieldKey:
     """Key function selecting ``record[name]``, vectorizable on
     structured-array payloads."""
@@ -142,7 +152,7 @@ def _vector_keys(payload: Sequence[Any],
     be applied batch-wise."""
     if np is None or not isinstance(payload, np.ndarray):
         return None
-    if key is None or getattr(key, "__name__", "") == "identity":
+    if key is None or key is identity:
         return payload if payload.dtype.names is None else None
     if isinstance(key, FieldKey) and payload.dtype.names \
             and key.name in payload.dtype.names:
@@ -170,7 +180,7 @@ def argsort(payload: Sequence[Any],
     column = _vector_keys(payload, key)
     if column is not None:
         return np.argsort(column, kind="stable")
-    if key is None or getattr(key, "__name__", "") == "identity":
+    if key is None or key is identity:
         keys: Sequence[Any] = payload
     else:
         keys = [key(record) for record in payload]
@@ -190,7 +200,7 @@ def key_list(payload: Sequence[Any],
     column = _vector_keys(payload, key)
     if column is not None:
         return column.tolist()
-    if key is None or getattr(key, "__name__", "") == "identity":
+    if key is None or key is identity:
         if isinstance(payload, array):
             return payload.tolist()
         if isinstance(payload, list):

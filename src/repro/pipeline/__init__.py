@@ -17,8 +17,11 @@ stream-materialization boundary saves ``~2·(N/DB)`` transfers.
 * :class:`~repro.pipeline.api.Pipeline` — lazy fused combinators:
   ``scan/source → map/filter/flat_map/sort → to_stream/reduce/
   merge_join/group_reduce``.
-* :func:`~repro.pipeline.steps.pipeline_sort_steps` — the cooperative
-  (intent-yielding) variant for the multi-tenant query service.
+* :func:`~repro.pipeline.steps.pipeline_sort_steps` — the pipeline
+  name of the library's one cooperative (intent-yielding) sort,
+  :func:`~repro.sort.steps.merge_sort_steps`, whose filter/map stages
+  run inside run formation; the multi-tenant query service's
+  ``pipeline_job`` drives it.
 """
 
 from .api import Pipeline

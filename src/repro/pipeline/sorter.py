@@ -28,11 +28,10 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 from ..core.exceptions import ConfigurationError, StreamError
 from ..core.machine import Machine
-from ..core.records import argsort, take
 from ..core.stream import FileStream
 from ..runtime.prefetch import ForecastingPrefetcher
 from ..sort.merge import BlockMerger, merge_pass, plan_merge_arity
-from ..sort.runs import identity
+from ..sort.runs import identity, memoryload_blocks, write_sorted_run
 
 _PUSH = "push"
 _PULL = "pull"
@@ -150,47 +149,26 @@ class Sorter:
     def _reserve_memoryload(self) -> None:
         """Size the run buffer to the budget actually available — an
         upstream reader holding frames shortens the runs instead of
-        overflowing ``M`` — leaving write-behind headroom as run
-        formation does."""
+        overflowing ``M`` — leaving ``headroom`` and write-behind frames
+        free as run formation does."""
         machine = self.machine
-        if self._stream_cls.writer_frames(machine) >= machine.num_disks:
-            spare = 0
-        else:
-            spare = machine.num_disks - 1
-        spare += self._headroom
-        blocks = max(
-            1, min(machine.m - spare,
-                   machine.budget.available // machine.B - spare)
+        self._capacity = machine.B * memoryload_blocks(
+            machine, machine.budget.available, self._stream_cls,
+            self._headroom,
         )
-        if blocks > machine.num_disks:
-            blocks -= blocks % machine.num_disks
-        self._capacity = blocks * machine.B
         machine.budget.acquire(self._capacity)
 
     def _spill(self) -> None:
-        """Sort the buffered memoryload and write it out as one run.
-
-        Arge–Thorup: the comparison sort runs over ``(key, index)``
-        pairs — records are only moved once, through the pointers, as
-        the run is emitted — so big payloads ride along for free and
-        ties stay in input order (stability)."""
+        """Sort the buffered memoryload by (key, pointer) and write it
+        out as one run."""
         if not self._buffer:
             return
-        machine = self.machine
-        order = argsort(self._buffer, self._key)
-        permuted = take(self._buffer, order)
-        run = self._stream_cls(
-            machine, name=f"{self._name}/run/{len(self._runs)}"
-        )
-        try:
-            with machine.trace(f"{self._name}-runs"):
-                B = machine.B
-                for offset in range(0, len(permuted), B):
-                    run.append_block(permuted[offset:offset + B])
-            self._runs.append(run.finalize())
-        except BaseException:
-            run.delete()
-            raise
+        with self.machine.trace(f"{self._name}-runs"):
+            run = write_sorted_run(
+                self.machine, self._buffer, self._key, self._stream_cls,
+                f"{self._name}/run/{len(self._runs)}",
+            )
+        self._runs.append(run)
         self._buffer = []
 
     def _release_memoryload(self) -> None:

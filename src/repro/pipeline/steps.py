@@ -1,13 +1,14 @@
-"""Cooperative pipelined sort: an intent-yielding generator.
+"""Cooperative pipelined sort: the service's fused scan → filter → map
+→ sort job.
 
-The multi-tenant query service (:mod:`repro.service`) runs OLAP jobs as
-generators that yield :class:`~repro.core.intents.StreamRead` intents
-so a driver can interleave many jobs' waves.  This module is the fused
-counterpart of :func:`~repro.sort.steps.merge_sort_steps`: map and
-filter stages run *inside* run formation — transformed records go
-straight into the sorted runs — so a scan → map/filter → sort job
-skips the ``2·(N/DB)`` I/Os the materialized idiom would spend writing
-and re-reading the transformed intermediate stream.
+There is one cooperative sort, :func:`~repro.sort.steps.merge_sort_steps`;
+its ``filter_fn`` and ``map_fn`` stages run inside run formation, so
+transformed records go straight into the sorted runs and the job skips
+the ``2·(N/DB)`` I/Os the materialized idiom would spend writing and
+re-reading the transformed intermediate stream.  This module exports
+it under the pipeline name :func:`pipeline_sort_steps` (the same
+function object), which :func:`repro.service.jobs.pipeline_job` looks
+up.
 
 The final merge still lands in an output stream (a cooperative job's
 result must outlive its generator), so the savings here are the *input*
@@ -15,128 +16,6 @@ boundary; the in-process :class:`~repro.pipeline.sorter.Sorter` also
 elides the output one.
 """
 
-from __future__ import annotations
+from ..sort.steps import merge_sort_steps as pipeline_sort_steps
 
-from typing import Any, Callable, List, Optional
-
-from ..core.exceptions import ConfigurationError
-from ..core.intents import StreamRead
-from ..core.machine import Machine
-from ..core.stream import FileStream
-from ..sort.steps import _merge_group_steps
-
-
-def pipeline_sort_steps(
-    machine: Machine,
-    stream: FileStream,
-    key: Optional[Callable[[Any], Any]] = None,
-    map_fn: Optional[Callable[[Any], Any]] = None,
-    filter_fn: Optional[Callable[[Any], bool]] = None,
-    budget=None,
-    name: str = "coop-pipe",
-):
-    """Cooperatively sort ``stream`` with fused map/filter stages.
-
-    Yields :class:`~repro.core.intents.StreamRead` intents and expects
-    payloads back via ``send``; *returns* the finalized sorted stream
-    of ``map_fn``-transformed, ``filter_fn``-surviving records.  The
-    transform runs on records as their memoryload is formed — no
-    intermediate stream is ever written.  Stable, like the eager sort.
-
-    Args:
-        machine: the machine whose disk the stream lives on.
-        key: sort key over the *transformed* records.
-        map_fn: per-record transform applied before sorting.
-        filter_fn: predicate applied before ``map_fn``.
-        budget: ledger to reserve working memory from — a tenant's
-            :class:`~repro.core.memory.SubBudget` under the service;
-            defaults to ``machine.budget``.
-        name: label prefix for the intermediate run streams.
-    """
-    key = key if key is not None else _identity
-    budget = budget if budget is not None else machine.budget
-    B = machine.block_size
-    block_ids = list(stream.block_ids)
-
-    # Run formation: budget-sized memoryloads with the record-wise
-    # stages fused in (the memoryload is counted in *input* records, so
-    # the reservation covers the worst case of nothing filtered out).
-    spare = machine.num_disks - 1
-    blocks_per_run = max(
-        1, min(machine.m - spare, budget.available // B - spare)
-    )
-    if blocks_per_run > machine.num_disks:
-        blocks_per_run -= blocks_per_run % machine.num_disks
-    runs: List[FileStream] = []
-    next_runs: List[FileStream] = []
-    run: Optional[FileStream] = None
-    try:
-        for start in range(0, len(block_ids), blocks_per_run):
-            wanted = block_ids[start:start + blocks_per_run]
-            with budget.reserve(len(wanted) * B):
-                payloads = yield StreamRead(wanted)
-                chunk = [record for payload in payloads
-                         for record in payload]
-                if filter_fn is not None:
-                    chunk = [record for record in chunk
-                             if filter_fn(record)]
-                if map_fn is not None:
-                    chunk = [map_fn(record) for record in chunk]
-                # Arge–Thorup key-pointer ordering, as in the eager
-                # sorter: the comparison sort moves (key, index) pairs,
-                # records move once through the pointers.
-                pairs = [(key(record), index)
-                         for index, record in enumerate(chunk)]
-                # em: ok(EM004) one memoryload ≤ m·B, reserved
-                pairs.sort()
-                if pairs:
-                    run = FileStream(
-                        machine, name=f"{name}/run/{len(runs)}"
-                    )
-                    for offset in range(0, len(pairs), B):
-                        run.append_block(
-                            [chunk[index] for _, index
-                             in pairs[offset:offset + B]]
-                        )
-                    runs.append(run.finalize())
-                    run = None
-
-        # Merge passes: one cursor frame per run + one output frame.
-        level = 0
-        while len(runs) > 1:
-            level += 1
-            arity = min(machine.fan_in, budget.available // B - 1)
-            if arity < 2:
-                raise ConfigurationError(
-                    f"cooperative merge fan-in must be >= 2, got {arity} "
-                    f"(budget {budget!r} too small)"
-                )
-            for start in range(0, len(runs), arity):
-                group = runs[start:start + arity]
-                if len(group) == 1:
-                    next_runs.append(group[0])
-                    continue
-                merged = yield from _merge_group_steps(
-                    machine, group, key, budget,
-                    f"{name}/merge-{level}/{len(next_runs)}",
-                )
-                next_runs.append(merged)
-                for member in group:
-                    member.delete()
-            runs = next_runs
-            next_runs = []
-    except BaseException:
-        # A fault (or driver .throw) mid-sort must not leak blocks.
-        if run is not None:
-            run.delete()
-        for formed in runs + next_runs:
-            formed.delete()
-        raise
-
-    if not runs:
-        return FileStream(machine, name=f"{name}/sorted").finalize()
-    return runs[0]
-
-
-def _identity(record: Any) -> Any:
-    return record
+__all__ = ["pipeline_sort_steps"]

@@ -11,6 +11,12 @@ Two strategies from the survey are implemented:
   run length is ``2M`` (Knuth), halving the number of runs and often saving
   a merge pass; on already-sorted input it produces a single run; on
   reverse-sorted input it degrades to runs of length ``M``.
+
+Every load-sort caller — this module's pass, the pipelined
+:class:`~repro.pipeline.sorter.Sorter`, and the cooperative
+:func:`~repro.sort.steps.merge_sort_steps` — sizes its memoryload with
+:func:`memoryload_blocks` and writes each run with
+:func:`write_sorted_run`.
 """
 
 from __future__ import annotations
@@ -23,14 +29,68 @@ from ..analysis.sanitizer import io_bound
 from ..core.bounds import scan_io
 from ..core.exceptions import ConfigurationError
 from ..core.machine import Machine
-from ..core.records import argsort, take
+from ..core.records import argsort, identity, take
 from ..core.stream import FileStream
 
 
-# em: ok(EM003) pure key helper: no machine, no I/O
-def identity(record: Any) -> Any:
-    """Default key function: the record is its own key."""
-    return record
+def memoryload_blocks(
+    machine: Machine,
+    available: int,
+    stream_cls=FileStream,
+    headroom: int = 0,
+) -> int:
+    """Blocks in one run-formation memoryload, given ``available``
+    records of unreserved budget.
+
+    Callers holding resident frames (an open block file, a priority
+    queue, a tenant's small share) get shorter runs rather than
+    overflowing ``M``; ``headroom`` blocks more stay free for writers
+    the caller acquires while the memoryload is held.  On a multi-disk
+    machine ``D-1`` frames stay out of the memoryload so the runtime's
+    write-behind can hold a ``D``-block window; a memoryload that fills
+    every frame forces one write step per block.  A striped run writer
+    batches a full stripe itself and needs no window, so full
+    memoryloads mean fewer, longer runs.  Larger memoryloads are
+    aligned to the stripe so every read batch and write window is a
+    full ``D``-block wave.  Pure arithmetic: no I/O.
+    """
+    num_disks = machine.num_disks
+    spare = headroom
+    if stream_cls.writer_frames(machine) < num_disks:
+        spare += num_disks - 1
+    blocks = max(1, min(machine.m - spare, available // machine.B - spare))
+    if blocks > num_disks:
+        blocks -= blocks % num_disks
+    return blocks
+
+
+def write_sorted_run(
+    machine: Machine,
+    records,
+    key: Callable[[Any], Any],
+    stream_cls,
+    name: str,
+) -> FileStream:
+    """Sort one memoryload and write it out as a finalized run.
+
+    Arge–Thorup: sort (key, pointer), then move each record exactly
+    once through its pointer — payload size stays out of the
+    comparisons, ties keep input order (stability).  On a typed
+    payload both steps are single vectorized passes.  Costs one write
+    I/O per block of the run; the blocks reach the runtime as one
+    batch, and a failed write deletes the half-written run before the
+    error propagates.
+    """
+    permuted = take(records, argsort(records, key))
+    B = machine.B
+    run = stream_cls(machine, name=name)
+    try:
+        run.append_blocks([permuted[offset:offset + B]
+                           for offset in range(0, len(permuted), B)])
+        return run.finalize()
+    except BaseException:
+        run.delete()
+        raise
 
 
 def _run_formation_theory(machine: Machine, n: int) -> int:
@@ -44,8 +104,6 @@ def _run_formation_theory(machine: Machine, n: int) -> int:
 
 
 @io_bound(_run_formation_theory, factor=2.0)
-
-
 def form_runs_load_sort(
     machine: Machine,
     stream: FileStream,
@@ -55,61 +113,31 @@ def form_runs_load_sort(
     """Split ``stream`` into sorted runs of ``M`` records each.
 
     Each memoryload occupies the *available* memory budget (up to ``m``
-    blocks) — callers holding resident frames (an open block file, a
-    priority queue) shorten the runs rather than overflow ``M``.  Blocks
-    are read and written directly so no extra staging frames are needed.
-    Costs one read and one write I/O per block of input.
+    blocks, see :func:`memoryload_blocks`).  Blocks are read and
+    written directly so no extra staging frames are needed.  Costs one
+    read and one write I/O per block of input.
 
     Returns the list of finalized run streams, in input order.
     """
     key = key or identity
     runs: List[FileStream] = []
     num_blocks = stream.num_blocks
-    # On a multi-disk machine, leave D-1 frames out of the memoryload so
-    # the runtime's write-behind can hold a D-block window; a memoryload
-    # that fills every frame forces one write step per block.  A striped
-    # run writer batches a full stripe itself, needs no window, and
-    # (via append_block) stages no frames of its own — full memoryloads
-    # mean fewer, longer runs.
-    if stream_cls.writer_frames(machine) >= machine.num_disks:
-        spare = 0
-    else:
-        spare = machine.num_disks - 1
-    blocks_per_run = max(
-        1, min(machine.m - spare,
-               machine.budget.available // machine.B - spare)
+    blocks_per_run = memoryload_blocks(
+        machine, machine.budget.available, stream_cls
     )
-    if blocks_per_run > machine.num_disks:
-        # Align run boundaries to the stripe so every read batch and
-        # write window is a full D-block wave.
-        blocks_per_run -= blocks_per_run % machine.num_disks
-    run: Optional[FileStream] = None
     with machine.trace("run-formation"):
         try:
             for start in range(0, num_blocks, blocks_per_run):
                 end = min(start + blocks_per_run, num_blocks)
                 with machine.budget.reserve((end - start) * machine.B):
-                    chunk = stream.read_block_range(start, end)
-                    # Arge–Thorup: sort (key, pointer), then move each
-                    # record exactly once through its pointer — payload
-                    # size stays out of the comparisons, ties keep input
-                    # order (stability).  On a typed chunk both calls
-                    # are single vectorized passes.
-                    order = argsort(chunk, key)
-                    permuted = take(chunk, order)
-                    run = stream_cls(machine, name=f"run/{len(runs)}")
-                    run.append_blocks([
-                        permuted[offset:offset + machine.B]
-                        for offset in range(0, len(permuted), machine.B)
-                    ])
-                    runs.append(run.finalize())
-                    run = None
+                    runs.append(write_sorted_run(
+                        machine, stream.read_block_range(start, end),
+                        key, stream_cls, f"run/{len(runs)}",
+                    ))
         except BaseException:
-            # A fault mid-formation must not leak runs: delete the
-            # half-written one and every finished one so the caller can
-            # retry the whole pass (checkpointed sort does exactly that).
-            if run is not None:
-                run.delete()
+            # A fault mid-formation must not leak runs: delete every
+            # finished one so the caller can retry the whole pass
+            # (checkpointed sort does exactly that).
             for formed in runs:
                 formed.delete()
             raise

@@ -1,23 +1,30 @@
-"""Cooperative external merge sort: an intent-yielding generator.
+"""The cooperative external merge sort: an intent-yielding generator.
 
-The OLAP workhorse of the multi-tenant query service
-(:mod:`repro.service`): the same memoryload-runs-then-k-way-merge
-algorithm as :func:`~repro.sort.merge.external_merge_sort`, but every
-read is a yielded :class:`~repro.core.intents.StreamRead` intent, so a
-driver can interleave the sort's waves with other jobs, and every byte
-of working memory is reserved from a caller-supplied *budget* — a
-tenant's :class:`~repro.core.memory.SubBudget` under the service, the
-machine's global :class:`~repro.core.memory.MemoryBudget` standalone.
+The OLAP engine of the multi-tenant query service
+(:mod:`repro.service`) and the only cooperative sort in the library:
+the same memoryload-runs-then-k-way-merge algorithm as
+:func:`~repro.sort.merge.external_merge_sort`, but every read is a
+yielded :class:`~repro.core.intents.StreamRead` intent, so a driver can
+interleave the sort's waves with other jobs, and every byte of working
+memory is reserved from a caller-supplied *budget* — a tenant's
+:class:`~repro.core.memory.SubBudget` under the service, the machine's
+global :class:`~repro.core.memory.MemoryBudget` standalone.
 
-The memoryload shrinks to the budget actually available, so a tenant
+Run formation is the eager sort's: :func:`~repro.sort.runs.memoryload_blocks`
+sizes the memoryload to the budget actually available, so a tenant
 with a small share forms shorter runs (and pays more merge passes)
 instead of overflowing its share — the fair-share analogue of the
-survey's ``M``-bounded run formation.
+survey's ``M``-bounded run formation — and
+:func:`~repro.sort.runs.write_sorted_run` orders each memoryload by
+(key, pointer), vectorized when the payload is typed.  Optional
+``filter_fn``/``map_fn`` stages run on each memoryload before it is
+sorted, so a scan → filter → map → sort job never writes the
+transformed intermediate (:func:`repro.pipeline.steps.pipeline_sort_steps`
+is this function).
 
-Writes go through :meth:`~repro.core.stream.FileStream.append_block`
-from a buffer the generator reserves itself, so no hidden staging
-reservation lands on the parent ledger: the tenant's ``in_use`` peak is
-exactly what its jobs reserved.
+Writes need no staging frames of their own, so no hidden reservation
+lands on the parent ledger: the tenant's ``in_use`` peak is exactly
+what its jobs reserved.
 """
 
 from __future__ import annotations
@@ -28,14 +35,17 @@ from typing import Any, Callable, List, Optional
 from ..core.exceptions import ConfigurationError
 from ..core.intents import StreamRead
 from ..core.machine import Machine
+from ..core.records import concat
 from ..core.stream import FileStream
-from .runs import identity
+from .runs import identity, memoryload_blocks, write_sorted_run
 
 
 def merge_sort_steps(
     machine: Machine,
     stream: FileStream,
     key: Optional[Callable[[Any], Any]] = None,
+    map_fn: Optional[Callable[[Any], Any]] = None,
+    filter_fn: Optional[Callable[[Any], bool]] = None,
     budget=None,
     name: str = "coop",
 ):
@@ -48,7 +58,11 @@ def merge_sort_steps(
 
     Args:
         machine: the machine whose disk the stream lives on.
-        key: sort key; default sorts records directly.
+        key: sort key over the (transformed) records; default sorts
+            records directly.
+        map_fn: per-record transform applied before sorting.
+        filter_fn: predicate applied before ``map_fn``; records it
+            rejects are dropped.
         budget: ledger to reserve working memory from — a tenant's
             :class:`~repro.core.memory.SubBudget` under the service;
             defaults to ``machine.budget``.
@@ -60,31 +74,27 @@ def merge_sort_steps(
     block_ids = list(stream.block_ids)
 
     # ------------------------------------------------------------------
-    # run formation: budget-sized memoryloads
+    # run formation: budget-sized memoryloads, counted in *input*
+    # records so the reservation covers nothing being filtered out
     # ------------------------------------------------------------------
-    spare = machine.num_disks - 1
-    blocks_per_run = max(
-        1, min(machine.m - spare, budget.available // B - spare)
-    )
-    if blocks_per_run > machine.num_disks:
-        blocks_per_run -= blocks_per_run % machine.num_disks
+    blocks_per_run = memoryload_blocks(machine, budget.available)
     runs: List[FileStream] = []
     next_runs: List[FileStream] = []
-    run: Optional[FileStream] = None
     try:
         for start in range(0, len(block_ids), blocks_per_run):
             wanted = block_ids[start:start + blocks_per_run]
             with budget.reserve(len(wanted) * B):
-                payloads = yield StreamRead(wanted)
-                chunk = [record for payload in payloads
-                         for record in payload]
-                # em: ok(EM004) one memoryload ≤ m·B, reserved
-                chunk.sort(key=key)
-                run = FileStream(machine, name=f"{name}/run/{len(runs)}")
-                for offset in range(0, len(chunk), B):
-                    run.append_block(chunk[offset:offset + B])
-                runs.append(run.finalize())
-                run = None
+                chunk = concat((yield StreamRead(wanted)))
+                if filter_fn is not None:
+                    chunk = [record for record in chunk
+                             if filter_fn(record)]
+                if map_fn is not None:
+                    chunk = [map_fn(record) for record in chunk]
+                if len(chunk):
+                    runs.append(write_sorted_run(
+                        machine, chunk, key, FileStream,
+                        f"{name}/run/{len(runs)}",
+                    ))
 
         # --------------------------------------------------------------
         # merge passes: one cursor frame per run + one output frame
@@ -118,8 +128,6 @@ def merge_sort_steps(
         # the job fails alone, its intermediates reclaimed.  delete()
         # is idempotent, so a straggler run appearing in both lists
         # (or a group member already deleted) is harmless.
-        if run is not None:
-            run.delete()
         for formed in runs + next_runs:
             formed.delete()
         raise
@@ -164,7 +172,7 @@ def _merge_group_steps(
             offset = [0] * len(group)  # next record within the block
             heap = []
             for index, block in enumerate(blocks):
-                if block:
+                if len(block):  # ndarray truthiness is ambiguous
                     heap.append((key(block[0]), index, block[0]))
                     offset[index] = 1
                     cursor[index] = 1
