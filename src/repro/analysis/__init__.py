@@ -12,11 +12,13 @@ that contract from two sides:
   construction.  Legitimate in-memory steps are *documented*, not
   invisible, via ``# em: ok(<rule>) <reason>`` waiver comments.
 * :mod:`repro.analysis.flow` — the whole-program side (rules
-  EM101–EM105, ``emlint --flow``): per-function CFGs with exception
-  edges, a project call graph with stream/budget taint summaries, and
-  a fixpoint that catches budget leaks, nested full scans, cross-call
-  stream materialization, unguarded reservations and machine aliasing,
-  with SARIF 2.1.0 output and a CI baseline workflow.
+  EM101–EM105): per-function CFGs with exception edges, a project call
+  graph with stream/budget taint summaries, and a fixpoint that catches
+  budget leaks, nested full scans, cross-call stream materialization,
+  unguarded reservations and machine aliasing, with SARIF 2.1.0 output
+  and a CI baseline workflow.  :mod:`repro.analysis.cost` (EM201–EM205,
+  symbolic I/O-cost certification) and :mod:`repro.analysis.state`
+  (EM301–EM306, resource typestate) run on the same project build.
 * :mod:`repro.analysis.sanitizer` — an :func:`io_bound` decorator
   registry turning the survey's fundamental-bounds table into an
   executable contract: with ``REPRO_IO_SANITIZE=1`` every decorated
@@ -24,17 +26,12 @@ that contract from two sides:
   measured-vs-theory ratios.
 
 Run the linter with ``python tools/emlint.py src/repro`` (or the
-``emlint`` console script).
+``emlint`` console script): one pass checks every tier.
 """
 
-from .emlint import Finding, Waiver, lint_paths, lint_source, unwaived
-from .flow import (
-    lint_paths_flow,
-    lint_sources_flow,
-    to_sarif,
-    write_baseline,
-)
-from .rules import FLOW_RULES, RULES
+from .emlint import Finding, Waiver, lint_paths, lint_sources, unwaived
+from .flow import to_sarif, write_baseline
+from .rules import ALL_RULES, FLOW_RULES, RULES
 from .sanitizer import (
     IOBoundViolation,
     SanitizerRecord,
@@ -50,12 +47,11 @@ from .sanitizer import (
 __all__ = [
     "Finding",
     "Waiver",
+    "ALL_RULES",
     "RULES",
     "FLOW_RULES",
     "lint_paths",
-    "lint_paths_flow",
-    "lint_source",
-    "lint_sources_flow",
+    "lint_sources",
     "to_sarif",
     "unwaived",
     "write_baseline",

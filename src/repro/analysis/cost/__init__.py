@@ -7,23 +7,16 @@ per-statement transfer counts through loop nests and callee summaries,
 then certifies the declared bound (the theory callable and the docstring
 form) against the inferred expression.
 
-Entry points mirror :mod:`repro.analysis.flow`:
-
-* :func:`lint_paths_cost` / :func:`lint_sources_cost` — run the
-  per-line rules plus the EM200-series (optionally the EM100 flow rules
-  too) and return :class:`~repro.analysis.emlint.Finding` lists;
-* :func:`cost_report` — the inferred/declared expression table, for
-  cross-checking sanitizer envelopes.
+The checks run inside the one ``emlint`` pass
+(:func:`repro.analysis.emlint.lint_sources`); pass it a ``report`` dict
+(``emlint --cost-report FILE``) to get the inferred/declared expression
+table, for cross-checking sanitizer envelopes.
 """
 
-from .engine import cost_report, lint_paths_cost, lint_sources_cost
 from .expr import Cost, Term, render
 
 __all__ = [
     "Cost",
     "Term",
-    "cost_report",
-    "lint_paths_cost",
-    "lint_sources_cost",
     "render",
 ]

@@ -1,11 +1,14 @@
 """EM-lint engine: file walking, waiver parsing, finding assembly.
 
-The engine parses each module, runs the
-:class:`~repro.analysis.rules.ComplianceVisitor` over its AST, then
-applies *waivers*: ``# em: ok(EM004) sorts one memoryload (≤ M)``
-comments that suppress a finding while documenting why the construct is
-legitimate.  A waiver on its own line covers the next line; an inline
-waiver covers its own line.  Multiple rules may be waived at once:
+One pass runs every rule tier.  :func:`lint_sources` runs the
+:class:`~repro.analysis.rules.ComplianceVisitor` (EM001-EM006) over
+each module's AST, builds one whole-program
+:class:`~repro.analysis.flow.summaries.Project`, runs the flow (EM1xx),
+cost (EM2xx) and state (EM3xx) checks on it, then applies *waivers*:
+``# em: ok(EM004) sorts one memoryload (≤ M)`` comments that suppress
+a finding while documenting why the construct is legitimate.  A waiver
+on its own line covers the next line; an inline waiver covers its own
+line.  Multiple rules may be waived at once:
 ``# em: ok(EM001, EM004) reason``.
 
 Waivers are themselves checked (rule EM007): a waiver must use the exact
@@ -111,10 +114,7 @@ class Waiver:
 def parse_waivers(source: str, path: str) -> Tuple[List[Waiver],
                                                    List[Finding]]:
     """Extract waivers and EM007 syntax findings from comments."""
-    from .rules import COST_RULES, FLOW_RULES, RULES, STATE_RULES
-
-    known_rules = (set(RULES) | set(FLOW_RULES) | set(COST_RULES)
-                   | set(STATE_RULES))
+    from .rules import ALL_RULES
 
     waivers: List[Waiver] = []
     findings: List[Finding] = []
@@ -143,7 +143,7 @@ def parse_waivers(source: str, path: str) -> Tuple[List[Waiver],
             part.strip() for part in match.group(1).split(","))
         reason = match.group(2).strip()
         for rule in rules:
-            if rule != "*" and rule not in known_rules:
+            if rule != "*" and rule not in ALL_RULES:
                 findings.append(Finding(
                     rule="EM007", path=path, line=row, col=col + 1,
                     message=f"waiver names unknown rule {rule!r}",
@@ -191,14 +191,12 @@ def classify(path: str) -> str:
     return "algorithm"
 
 
-def static_findings(source: str, path: str = "<string>",
-                    kind: Optional[str] = None) -> List[Finding]:
+def static_findings(source: str, path: str = "<string>") -> List[Finding]:
     """Run the per-line rules (EM001-EM006) over one module, without
     any waiver processing."""
     from .rules import ComplianceVisitor
 
-    if kind is None:
-        kind = classify(path)
+    kind = classify(path)
     if kind == "exempt":
         return []
     try:
@@ -227,15 +225,16 @@ def apply_waivers(findings: Iterable[Finding],
                 break
 
 
-def unused_waiver_findings(waivers: Iterable[Waiver], path: str,
-                           active_rules: Set[str]) -> List[Finding]:
+def unused_waiver_findings(waivers: Iterable[Waiver],
+                           path: str) -> List[Finding]:
     """EM007 findings for waiver rule ids that suppressed nothing.
 
     Usage is tracked per rule id, so ``# em: ok(EM001,EM004) ...`` where
-    only EM001 ever fires is flagged for the dead EM004 entry.  Rule ids
-    outside ``active_rules`` (e.g. flow rules during a per-line-only
-    run) are not judged: the checker that would use them did not run.
+    only EM001 ever fires is flagged for the dead EM004 entry.  Every
+    tier runs on every lint, so each known rule id is judged.
     """
+    from .rules import ALL_RULES
+
     findings: List[Finding] = []
     for waiver in waivers:
         if not waiver.reason:
@@ -249,9 +248,8 @@ def unused_waiver_findings(waivers: Iterable[Waiver], path: str,
                 ))
             continue
         for rule in waiver.rules:
-            if rule not in active_rules:
-                continue  # unknown ids flagged at parse time; inactive
-                          # ids were never checked this run
+            if rule not in ALL_RULES:
+                continue  # unknown ids were flagged at parse time
             if rule not in waiver.used_rules:
                 findings.append(Finding(
                     rule="EM007", path=path, line=waiver.line, col=1,
@@ -263,13 +261,12 @@ def unused_waiver_findings(waivers: Iterable[Waiver], path: str,
 
 
 def finish_findings(findings: List[Finding], waivers: List[Waiver],
-                    waiver_findings: List[Finding], path: str,
-                    active_rules: Set[str]) -> List[Finding]:
+                    waiver_findings: List[Finding],
+                    path: str) -> List[Finding]:
     """Apply waivers, flag dead waiver entries, and sort."""
     apply_waivers(findings, waivers)
     waiver_findings = list(waiver_findings)
-    waiver_findings.extend(
-        unused_waiver_findings(waivers, path, active_rules))
+    waiver_findings.extend(unused_waiver_findings(waivers, path))
     # EM007 findings may themselves be waived (e.g. fixture files that
     # intentionally hold broken waivers).
     apply_waivers(waiver_findings, waivers)
@@ -278,30 +275,59 @@ def finish_findings(findings: List[Finding], waivers: List[Waiver],
     return findings
 
 
-def lint_source(source: str, path: str = "<string>",
-                kind: Optional[str] = None,
-                active_rules: Optional[Set[str]] = None) -> List[Finding]:
-    """Lint one module's source text; returns all findings, waived ones
-    marked as such."""
-    from .rules import RULES
+#: per-file stage result: (findings, waivers, waiver findings)
+PerFile = Tuple[List[Finding], List[Waiver], List[Finding]]
 
-    if kind is None:
-        kind = classify(path)
-    if kind == "exempt":
-        return []
-    findings = static_findings(source, path, kind)
+
+def _per_file(item: Tuple[str, str]) -> Tuple[str, PerFile]:
+    path, source = item
     waivers, waiver_findings = parse_waivers(source, path)
-    if active_rules is None:
-        active_rules = set(RULES)
-    return finish_findings(findings, waivers, waiver_findings, path,
-                           active_rules)
+    return path, (static_findings(source, path), waivers, waiver_findings)
 
 
-def lint_file(path: str) -> List[Finding]:
-    """Lint one file on disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path)
+def lint_sources(sources: List[Tuple[str, str]], jobs: int = 1,
+                 report: Optional[Dict[str, Dict[str, object]]] = None
+                 ) -> List[Finding]:
+    """Lint (path, source) pairs with every rule tier; returns all
+    findings, waived ones marked, sorted by (path, line, col, rule).
+
+    The per-file stage (per-line rules plus waiver parsing) runs once,
+    over ``jobs`` processes when ``jobs > 1``.  One
+    :class:`~repro.analysis.flow.summaries.Project` is then built over
+    the non-exempt modules and the flow (EM1xx), cost (EM2xx) and state
+    (EM3xx) checks all run on it.  Waivers are judged last, against the
+    combined finding set.  ``report``, when given, is filled with the
+    inferred/declared cost expression of every ``@io_bound`` function.
+    """
+    from .cost.checks import run_checks as cost_checks
+    from .flow.checks import run_checks as flow_checks
+    from .flow.summaries import Project
+    from .state.checks import run_checks as state_checks
+
+    work = [(path, source) for path, source in sources
+            if classify(path) != "exempt"]
+    if jobs > 1 and len(work) > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(min(jobs, len(work))) as pool:
+            results = pool.map(_per_file, work)
+    else:
+        results = [_per_file(item) for item in work]
+    per_file: Dict[str, PerFile] = dict(results)
+
+    project = Project.build(work)
+    checked = flow_checks(project)
+    checked.extend(cost_checks(project, report=report))
+    checked.extend(state_checks(project))
+    for finding in checked:
+        per_file.setdefault(finding.path, ([], [], []))[0].append(finding)
+
+    combined: List[Finding] = []
+    for path, (findings, waivers, waiver_findings) in per_file.items():
+        combined.extend(
+            finish_findings(findings, waivers, waiver_findings, path))
+    combined.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return combined
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterable[str]:
@@ -321,21 +347,16 @@ def iter_python_files(paths: Iterable[str]) -> Iterable[str]:
     return seen
 
 
-def lint_paths(paths: Iterable[str], jobs: int = 1) -> List[Finding]:
-    """Lint every Python file under ``paths``; ``jobs > 1`` fans the
-    per-file work out over a process pool."""
-    files = list(iter_python_files(paths))
-    if jobs > 1 and len(files) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(files))) as pool:
-            per_file = pool.map(lint_file, files)
-    else:
-        per_file = [lint_file(path) for path in files]
-    findings: List[Finding] = []
-    for file_findings in per_file:
-        findings.extend(file_findings)
-    return findings
+def lint_paths(paths: Iterable[str], jobs: int = 1,
+               report: Optional[Dict[str, Dict[str, object]]] = None
+               ) -> List[Finding]:
+    """Read every Python file under ``paths`` and :func:`lint_sources`
+    them."""
+    sources: List[Tuple[str, str]] = []
+    for path in iter_python_files(paths):
+        with open(path, "r", encoding="utf-8") as handle:
+            sources.append((path, handle.read()))
+    return lint_sources(sources, jobs=jobs, report=report)
 
 
 def unwaived(findings: Iterable[Finding]) -> List[Finding]:

@@ -1,9 +1,8 @@
 """Interprocedural budget- and stream-dataflow analysis (EM100 rules).
 
-Public surface:
+The checks run inside the one ``emlint`` pass
+(:func:`repro.analysis.emlint.lint_sources`).  Public surface:
 
-* :func:`lint_paths_flow` / :func:`lint_sources_flow` — run the
-  combined per-line + whole-program lint;
 * :func:`build_cfg` — per-function control-flow graphs;
 * :class:`Project` — call graph + taint summaries;
 * :func:`to_sarif` — SARIF 2.1.0 output;
@@ -12,7 +11,6 @@ Public surface:
 
 from .baseline import load_baseline, split_by_baseline, write_baseline
 from .cfg import CFG, build_cfg
-from .engine import lint_paths_flow, lint_sources_flow
 from .sarif import fingerprint, to_sarif
 from .summaries import Project
 
@@ -21,8 +19,6 @@ __all__ = [
     "Project",
     "build_cfg",
     "fingerprint",
-    "lint_paths_flow",
-    "lint_sources_flow",
     "load_baseline",
     "split_by_baseline",
     "to_sarif",

@@ -180,7 +180,9 @@ class FileDiskArray(DiskArray):
         """Flush data bytes and atomically commit the block table to the
         ``<path>.meta`` sidecar — the durability point a later
         :meth:`open` recovers to (a checkpointed sort calls this when it
-        commits its manifest)."""
+        commits its manifest).  The data file, the sidecar and, after
+        the sidecar's rename, its directory are each fsynced, so a
+        commit that returned survives power loss."""
         self._file.flush()
         os.fsync(self._file.fileno())
         meta = {
@@ -206,6 +208,15 @@ class FileDiskArray(DiskArray):
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self.path + ".meta")
+        # The rename is durable only once its directory entry is: fsync
+        # the parent directory, or a power failure can lose the commit.
+        # em: ok(EM002) fsyncs the sidecar's directory entry, no data I/O
+        directory = os.open(os.path.dirname(os.path.abspath(self.path)),
+                            os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     @classmethod
     def open(cls, path: str) -> "FileDiskArray":

@@ -24,7 +24,9 @@ is this function).
 
 Writes need no staging frames of their own, so no hidden reservation
 lands on the parent ledger: the tenant's ``in_use`` peak is exactly
-what its jobs reserved.
+what its jobs reserved.  A merge pass that finds too little of a shared
+budget free for a binary merge (another job holds its memoryload
+across a read) waits at a bare-``yield`` checkpoint until it frees up.
 """
 
 from __future__ import annotations
@@ -103,11 +105,18 @@ def merge_sort_steps(
         while len(runs) > 1:
             level += 1
             arity = min(machine.fan_in, budget.available // B - 1)
-            if arity < 2:
-                raise ConfigurationError(
-                    f"cooperative merge fan-in must be >= 2, got {arity} "
-                    f"(budget {budget!r} too small)"
-                )
+            while arity < 2:
+                # Jobs sharing the budget (a tenant's share) hold their
+                # frames across yielded reads: wait at a checkpoint for
+                # them to release.  Fail at once when even the whole
+                # budget cannot hold a binary merge.
+                if min(machine.fan_in, budget.capacity // B - 1) < 2:
+                    raise ConfigurationError(
+                        f"cooperative merge fan-in must be >= 2, got "
+                        f"{arity} (budget {budget!r} too small)"
+                    )
+                yield
+                arity = min(machine.fan_in, budget.available // B - 1)
             for start in range(0, len(runs), arity):
                 group = runs[start:start + arity]
                 if len(group) == 1:

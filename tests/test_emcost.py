@@ -12,8 +12,9 @@ Three layers of coverage:
   findings and every ``@io_bound`` function must get an inferred cost.
 
 Fixture paths classify the snippets as ``algorithm`` modules (the
-strict tier); assertions filter by rule id so the per-line findings the
-fixtures also trigger don't interfere.
+strict tier).  The helpers keep only the EM2xx findings (or the one
+rule asked for), so the findings of the other tiers the fixtures also
+trigger don't interfere.
 """
 
 import textwrap
@@ -21,14 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_source
-from repro.analysis.cost import (
-    Term,
-    cost_report,
-    lint_paths_cost,
-    lint_sources_cost,
-    render,
-)
+from repro.analysis import lint_sources
+from repro.analysis.cost import Term, render
 from repro.analysis.cost.expr import (
     covers,
     leading_ratio,
@@ -37,19 +32,21 @@ from repro.analysis.cost.expr import (
     sort_terms,
 )
 from repro.analysis.flow import split_by_baseline, write_baseline
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC_TREE = str(REPO_ROOT / "src" / "repro")
+from repro.analysis.rules import COST_RULES
 
 ALGO = "src/repro/algo/fixture.py"
 
 
-def cost_findings(sources, rule=None, waived=False):
-    findings = [f for f in lint_sources_cost(sources)
-                if waived or not f.waived]
+def cost_tier(findings, rule=None):
+    """The EM2xx findings, or only ``rule``'s when one is named."""
     if rule is not None:
-        findings = [f for f in findings if f.rule == rule]
-    return findings
+        return [f for f in findings if f.rule == rule]
+    return [f for f in findings if f.rule in COST_RULES]
+
+
+def cost_findings(sources, rule=None, waived=False):
+    return cost_tier([f for f in lint_sources(sources)
+                      if waived or not f.waived], rule)
 
 
 def fixture(snippet):
@@ -346,12 +343,6 @@ class TestWaiversAndBaseline:
         assert len(findings) == 1
         assert "EM203" in findings[0].message
 
-    def test_cost_waiver_not_dead_outside_cost_mode(self):
-        # the per-line run doesn't evaluate EM2xx, so an EM2xx waiver
-        # must not be reported as dead there
-        findings = lint_source(textwrap.dedent(self.DEAD), path=ALGO)
-        assert all(f.rule != "EM007" for f in findings)
-
     def test_baseline_round_trip_gates_cost_findings(self, tmp_path):
         findings = cost_findings(fixture(EM201_SEED))
         assert any(f.rule == "EM201" for f in findings)
@@ -373,14 +364,14 @@ class TestWaiversAndBaseline:
 # Golden expressions and the clean-tree gate
 # ---------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def tree_report():
-    return cost_report([SRC_TREE])
+@pytest.fixture
+def tree_report(tree_lint):
+    return tree_lint[1]
 
 
-@pytest.fixture(scope="module")
-def tree_findings():
-    return lint_paths_cost([SRC_TREE], with_flow=True)
+@pytest.fixture
+def tree_findings(tree_lint):
+    return cost_tier(tree_lint[0])
 
 
 class TestGoldenExpressions:

@@ -1,18 +1,19 @@
 """Tests for the EM100-series interprocedural flow analysis.
 
 Each fixture is a tiny synthetic module fed through
-:func:`lint_sources_flow`; paths are chosen so the modules classify as
-algorithm code (the strict tier).  Assertions filter by rule id so the
-EM001-series static findings the fixtures also trigger (missing bound
-docstrings etc.) don't interfere.
+:func:`lint_sources`; paths are chosen so the modules classify as
+algorithm code (the strict tier).  The helpers keep only the EM1xx
+findings (or the one rule asked for), so the findings of the other
+tiers the fixtures also trigger (missing bound docstrings etc.) don't
+interfere.
 """
 
 import json
 
 import pytest
 
+from repro.analysis import lint_sources
 from repro.analysis.flow import (
-    lint_sources_flow,
     load_baseline,
     split_by_baseline,
     to_sarif,
@@ -22,11 +23,16 @@ from repro.analysis.flow.sarif import SARIF_VERSION, fingerprint
 from repro.analysis.rules import FLOW_RULES, RULES
 
 
-def flow_findings(sources, rule=None):
-    findings = [f for f in lint_sources_flow(sources) if not f.waived]
+def flow_tier(findings, rule=None):
+    """The EM1xx findings, or only ``rule``'s when one is named."""
     if rule is not None:
-        findings = [f for f in findings if f.rule == rule]
-    return findings
+        return [f for f in findings if f.rule == rule]
+    return [f for f in findings if f.rule in FLOW_RULES]
+
+
+def flow_findings(sources, rule=None):
+    return flow_tier(
+        [f for f in lint_sources(sources) if not f.waived], rule)
 
 
 ALGO = "src/repro/algo/fixture.py"
@@ -353,10 +359,10 @@ def _join(machine, left: FileStream, right: FileStream):
 
 class TestSarif:
     def sarif_log(self):
-        findings = lint_sources_flow([
+        findings = flow_tier(lint_sources([
             (ALGO, LEAKY),
             ("src/repro/algo/waived.py", WAIVED_SCAN),
-        ])
+        ]))
         rules = dict(RULES)
         rules.update(FLOW_RULES)
         return findings, to_sarif(findings, rules)
@@ -457,16 +463,7 @@ def _later(machine, items):
 # ---------------------------------------------------------------------
 
 class TestRepositoryIsClean:
-    def test_src_tree_has_no_unwaived_flow_findings(self):
-        import pathlib
-
-        from repro.analysis.flow import lint_paths_flow
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        paths = sorted(
-            str(p) for p in (root / "src" / "repro").rglob("*.py")
-        )
-        open_findings = [
-            f for f in lint_paths_flow(paths) if not f.waived
-        ]
+    def test_src_tree_has_no_unwaived_flow_findings(self, tree_lint):
+        findings, _ = tree_lint
+        open_findings = [f for f in flow_tier(findings) if not f.waived]
         assert open_findings == []

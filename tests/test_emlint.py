@@ -2,8 +2,9 @@
 
 Each rule gets a pair of fixtures: a snippet that must fire the rule and
 a snippet (or a waiver) that must not.  Fixtures are linted through
-:func:`lint_source`, whose default path classifies them as ``algorithm``
-modules (all rules active).
+:func:`lint_sources`; the default path classifies them as ``algorithm``
+modules (all rules active).  Only the per-line findings (EM001-EM007)
+are kept.
 """
 
 import textwrap
@@ -11,14 +12,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import RULES, Finding, lint_paths, lint_source, unwaived
+from repro.analysis import RULES, Finding, lint_sources, unwaived
 from repro.analysis.emlint import Waiver, classify, parse_waivers
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
+#: a fixture path that classifies as each module kind
+KIND_PATHS = {
+    "algorithm": "<string>",
+    "core": "src/repro/core/fixture.py",
+    "exempt": "src/repro/analysis/fixture.py",
+}
 
-def lint(snippet, **kwargs):
-    return lint_source(textwrap.dedent(snippet), **kwargs)
+
+def lint(snippet, kind="algorithm"):
+    findings = lint_sources([(KIND_PATHS[kind], textwrap.dedent(snippet))])
+    return [f for f in findings if f.rule in RULES]
 
 
 def fired(findings):
@@ -494,14 +503,14 @@ class TestFindingRendering:
 
 
 class TestWholeTree:
-    def test_library_is_lint_clean(self):
+    def test_library_is_lint_clean(self, tree_lint):
         """The acceptance gate: zero unwaived findings across src/repro."""
-        findings = lint_paths([str(REPO_ROOT / "src" / "repro")])
+        findings, _ = tree_lint
         remaining = unwaived(findings)
         assert remaining == [], "\n".join(f.render() for f in remaining)
 
-    def test_every_waiver_in_tree_has_a_reason(self):
-        findings = lint_paths([str(REPO_ROOT / "src" / "repro")])
+    def test_every_waiver_in_tree_has_a_reason(self, tree_lint):
+        findings, _ = tree_lint
         for finding in findings:
             if finding.waived:
                 assert finding.waiver_reason

@@ -1,26 +1,31 @@
 """Tests for the EM300-series typestate analysis.
 
 Each fixture is a tiny synthetic module fed through
-:func:`lint_sources_state`; paths are chosen so the modules classify as
+:func:`lint_sources`; paths are chosen so the modules classify as
 algorithm code (the strict tier).  Every rule gets one seeded positive
 and a clean (or waived) twin, mirroring the layout of
-``test_emflow.py``.  Assertions filter by rule id so the EM001-series
-static findings the fixtures also trigger don't interfere.
+``test_emflow.py``.  The helpers keep only the EM3xx findings (or the
+one rule asked for), so the findings of the other tiers the fixtures
+also trigger don't interfere.
 """
 
 import json
 
+from repro.analysis import lint_sources
 from repro.analysis.flow.sarif import SARIF_VERSION, to_sarif
 from repro.analysis.rules import RULES, STATE_RULES
-from repro.analysis.state import lint_sources_state
+
+
+def state_tier(findings, rule=None):
+    """The EM3xx findings, or only ``rule``'s when one is named."""
+    if rule is not None:
+        return [f for f in findings if f.rule == rule]
+    return [f for f in findings if f.rule in STATE_RULES]
 
 
 def state_findings(sources, rule=None, waived=False):
-    findings = [f for f in lint_sources_state(sources)
-                if f.waived == waived]
-    if rule is not None:
-        findings = [f for f in findings if f.rule == rule]
-    return findings
+    return state_tier(
+        [f for f in lint_sources(sources) if f.waived == waived], rule)
 
 
 ALGO = "src/repro/algo/fixture.py"
@@ -458,10 +463,10 @@ def _scrub(machine, block_ids):
 
 class TestSarif:
     def sarif_log(self):
-        findings = lint_sources_state([
+        findings = state_tier(lint_sources([
             (ALGO, LEAKY_PIN),
             ("src/repro/algo/waived.py", WAIVED_RAW),
-        ])
+        ]))
         rules = dict(RULES)
         rules.update(STATE_RULES)
         return findings, to_sarif(findings, rules)
@@ -547,31 +552,15 @@ def _later(machine, manifest, output):
 # ---------------------------------------------------------------------
 
 class TestRepositoryIsClean:
-    def test_src_tree_has_no_unwaived_typestate_findings(self):
-        import pathlib
-
-        from repro.analysis.state import lint_paths_state
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        paths = sorted(
-            str(p) for p in (root / "src" / "repro").rglob("*.py")
-        )
+    def test_src_tree_has_no_unwaived_typestate_findings(self, tree_lint):
         open_findings = [
-            f for f in lint_paths_state(paths) if not f.waived
+            f for f in state_tier(tree_lint[0]) if not f.waived
         ]
         assert open_findings == []
 
-    def test_every_state_waiver_is_documented(self):
-        import pathlib
-
-        from repro.analysis.state import lint_paths_state
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        paths = sorted(
-            str(p) for p in (root / "src" / "repro").rglob("*.py")
-        )
-        for finding in lint_paths_state(paths):
-            if finding.waived and finding.rule in STATE_RULES:
+    def test_every_state_waiver_is_documented(self, tree_lint):
+        for finding in state_tier(tree_lint[0]):
+            if finding.waived:
                 assert finding.waiver_reason, (
                     f"{finding.path}:{finding.line} waives "
                     f"{finding.rule} without a reason"

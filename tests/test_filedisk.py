@@ -147,6 +147,40 @@ class TestPersistence:
         assert list(recovered.read(synced)) == [1, 2, 3, 4]
         recovered.close(remove=False)
 
+    def test_sync_fsyncs_the_directory_after_the_rename(self, tmp_path,
+                                                         monkeypatch):
+        import os
+
+        path = str(tmp_path / "durable.blocks")
+        disk = FileDiskArray(4, path=path)
+        disk.write(disk.allocate(), [1, 2, 3, 4])
+        events = []
+        opened = {}
+        real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+
+        def logged_open(target, flags, *args, **kwargs):
+            fd = real_open(target, flags, *args, **kwargs)
+            opened[fd] = os.fspath(target)
+            return fd
+
+        def logged_fsync(fd):
+            events.append(("fsync", opened.get(fd, fd)))
+            return real_fsync(fd)
+
+        def logged_replace(src, dst):
+            events.append(("replace", os.fspath(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "open", logged_open)
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(os, "replace", logged_replace)
+        disk.sync_metadata()
+        monkeypatch.undo()
+        disk.close()
+
+        rename = events.index(("replace", path + ".meta"))
+        assert ("fsync", str(tmp_path)) in events[rename + 1:]
+
     @requires_numpy
     def test_typed_block_survives_reopen_with_type(self, tmp_path):
         path = str(tmp_path / "typed.blocks")

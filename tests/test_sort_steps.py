@@ -3,9 +3,10 @@ and its pipeline name (``repro.pipeline.steps.pipeline_sort_steps``).
 
 Covers typed (ndarray) and list inputs across several merge passes,
 list/ndarray parity of output and counters, the fused filter/map
-stages, the service's ``pipeline_job``, and the regression in which a
-caller's key function merely *named* ``identity`` was mistaken for the
-library's identity key.
+stages, the service's ``pipeline_job`` (alone, and beside a
+``sort_job`` in one tenant), the merge's too-small-budget error, and
+the regression in which a caller's key function merely *named*
+``identity`` was mistaken for the library's identity key.
 """
 
 import math
@@ -13,9 +14,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import FileStream, Machine
+from repro.core import ConfigurationError, FileStream, Machine
+from repro.core.intents import fulfill
+from repro.core.memory import MemoryBudget
 from repro.pipeline import pipeline_sort_steps
-from repro.service import DONE, QueryService, drive, pipeline_job
+from repro.service import DONE, QueryService, drive, pipeline_job, sort_job
 from repro.sort import external_merge_sort, merge_sort_steps
 from repro.sort.runs import memoryload_blocks
 
@@ -167,3 +170,53 @@ def test_pipeline_job_finishes_under_the_service():
                           expected)
     assert olap.share.in_use == 0
     assert m.budget.in_use == 0
+
+
+def test_sort_and_pipeline_jobs_share_one_tenant_at_default_settings():
+    # Two OLAP jobs run side by side under add_tenant's default
+    # max_running=2: the sort's merge takes most of the share while the
+    # pipeline holds a one-block memoryload across its read, so the
+    # pipeline's merge finds less than a binary merge free and must
+    # wait for the sort's frames instead of failing.
+    m = Machine(block_size=64, memory_blocks=64, num_disks=4)
+    rng = np.random.default_rng(7)
+    sort_values = rng.integers(0, 1 << 62, 60_000, dtype=np.int64)
+    pipe_values = rng.integers(0, 1 << 62, 30_000, dtype=np.int64)
+    sort_stream = FileStream.from_payload(m, sort_values)
+    pipe_stream = FileStream.from_payload(m, pipe_values)
+    service = QueryService(m)
+    service.add_tenant("oltp")
+    olap = service.add_tenant("olap")
+    sort = service.submit("olap", sort_job(m, sort_stream))
+    pipe = service.submit("olap", pipeline_job(
+        m, pipe_stream, filter_fn=lambda r: r % 3 != 0,
+        map_fn=lambda r: r // 2,
+    ))
+    service.run()
+    assert sort.status == DONE and sort.error is None
+    assert pipe.status == DONE and pipe.error is None
+    assert np.array_equal(np.array(list(sort.result), dtype=np.int64),
+                          np.sort(sort_values))
+    expected = np.sort(pipe_values[pipe_values % 3 != 0] // 2)
+    assert np.array_equal(np.array(list(pipe.result), dtype=np.int64),
+                          expected)
+    assert olap.share.in_use == 0
+    assert m.budget.in_use == 0
+
+
+def test_budget_too_small_for_a_binary_merge_fails_at_once():
+    m = machine(D=4)
+    stream = load(m, int64_data(200, seed=8), "ndarray")
+    job = merge_sort_steps(m, stream, budget=MemoryBudget(2 * m.B))
+    with pytest.raises(ConfigurationError):
+        drive(m, job)
+
+    # Stepped by hand: every yield up to the error is a read, never a
+    # bare checkpoint waiting for frames nobody else holds.
+    job = merge_sort_steps(m, stream, budget=MemoryBudget(2 * m.B))
+    payloads = None
+    with pytest.raises(ConfigurationError):
+        while True:
+            intent = job.send(payloads)
+            assert intent is not None
+            payloads = fulfill(m, intent)

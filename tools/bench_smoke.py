@@ -33,10 +33,10 @@ shared memory budget), and the transfer overhead of the same query
 workload under a seeded fault plan vs clean — retried cache misses and
 scrubbed write-backs must stay within the same 2.0x bound as the sort.
 
-One analyzer record times each EM-lint tier (per-line EM0xx, flow
-EM1xx, cost EM2xx, typestate EM3xx) over ``src/repro`` so regressions
-in analysis wall-time show up per commit; every tier must also report
-a triaged tree (zero unwaived findings).
+One analyzer record times the single EM-lint pass (per-line EM0xx,
+flow EM1xx, cost EM2xx, typestate EM3xx over one project build) over
+``src/repro`` so regressions in analysis wall-time show up per commit;
+it must also report a triaged tree (zero unwaived findings).
 
 A multi-tenant service record runs the F24 chaos mix (OLTP point reads
 interleaved with an OLAP sort) at smoke scale, asserting the
@@ -428,39 +428,26 @@ def faulted_query_smoke():
 
 
 def analyzer_smoke():
-    """Wall-time of each EM-lint tier over ``src/repro``, plus the
-    finding counts — the tree must stay triaged (zero unwaived)."""
-    from repro.analysis.cost.engine import lint_paths_cost
+    """Wall-time of the one all-tier EM-lint pass over ``src/repro``,
+    plus the finding counts — the tree must stay triaged (zero
+    unwaived)."""
     from repro.analysis.emlint import lint_paths
-    from repro.analysis.flow.engine import lint_paths_flow
-    from repro.analysis.state.engine import lint_paths_state
 
     target = str(Path(__file__).resolve().parent.parent
                  / "src" / "repro")
-    points = []
-    for tier, run in (
-        ("per_line", lambda: lint_paths([target])),
-        ("flow", lambda: lint_paths_flow([target])),
-        ("cost", lambda: lint_paths_cost([target], with_flow=True)),
-        ("state", lambda: lint_paths_state([target], with_flow=True,
-                                           with_cost=True)),
-    ):
-        start = time.perf_counter()
-        findings = run()
-        elapsed = time.perf_counter() - start
-        unwaived = sum(1 for f in findings if not f.waived)
-        waived = len(findings) - unwaived
-        assert unwaived == 0, (
-            f"{tier}: {unwaived} unwaived finding(s) in {target}"
-        )
-        points.append({
-            "tier": tier,
-            "wall_time_s": round(elapsed, 4),
-            "unwaived": unwaived,
-            "waived": waived,
-        })
-    return {"name": "analyzer_tiers", "target": "src/repro",
-            "points": points}
+    start = time.perf_counter()
+    findings = lint_paths([target])
+    elapsed = time.perf_counter() - start
+    unwaived = sum(1 for f in findings if not f.waived)
+    assert unwaived == 0, (
+        f"{unwaived} unwaived finding(s) in {target}"
+    )
+    return {"name": "analyzer_pass", "target": "src/repro",
+            "points": [{
+                "wall_time_s": round(elapsed, 4),
+                "unwaived": unwaived,
+                "waived": len(findings) - unwaived,
+            }]}
 
 
 PIPE_B, PIPE_M_BLOCKS = 64, 48  # final merge width covers the runs
@@ -471,7 +458,7 @@ def pipeline_smoke():
     """F25 at smoke scale: fused vs materialized I/O per consumer, and
     the EM103 fusion baseline (zero unwaived sort-then-scan
     boundaries)."""
-    from repro.analysis.flow.engine import lint_paths_flow
+    from repro.analysis.emlint import lint_paths
     from repro.graph import (
         list_ranking,
         list_ranking_materialized,
@@ -542,7 +529,7 @@ def pipeline_smoke():
 
     target = str(Path(__file__).resolve().parent.parent
                  / "src" / "repro")
-    em103 = [f for f in lint_paths_flow([target]) if f.rule == "EM103"]
+    em103 = [f for f in lint_paths([target]) if f.rule == "EM103"]
     unwaived = sum(1 for f in em103 if not f.waived)
     assert unwaived == 0, (
         f"{unwaived} unwaived EM103 sort-then-scan boundary(ies) in "
